@@ -399,14 +399,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         timeout_s=args.timeout,
         retries=args.retries,
         quarantine_dir=args.quarantine_dir,
-        payload_mode=args.payload,
     )
     payload = {"schema": BENCH_SCHEMA, "tag": args.tag, "batch": result}
     if args.output:
         write_payload(payload, args.output)
         print(f"analyzed {result['programs']} programs on "
-              f"{result['workers']} workers ({result['payload_mode']} "
-              f"payloads, ipc {result['ipc_serialize_ms']:.1f}ms / "
+              f"{result['workers']} workers (ipc "
+              f"{result['ipc_serialize_ms']:.1f}ms / "
               f"{result['ipc_payload_bytes']} bytes); wrote {args.output}")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -783,11 +782,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     batch_p.add_argument(
         "--quarantine-dir", metavar="DIR",
         help="write one repro.quarantine/1 JSON per poison program here",
-    )
-    batch_p.add_argument(
-        "--payload", default="specs", choices=("specs", "arena"),
-        help="worker payload: per-program specs (object pipeline) or "
-        "one serialized arena corpus per chunk (fused sweep)",
     )
     batch_p.add_argument("--output", help="write JSON here instead of stdout")
     batch_p.set_defaults(handler=cmd_batch)

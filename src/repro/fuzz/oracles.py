@@ -38,11 +38,6 @@ acceptance contract) guarantees:
     agrees with its dense reference twin on the mutant -- chain sets
     equal, SSA overlays identical field by field, and the range/taint/
     control-dependence fact surfaces byte-equal.
-``bytes-roundtrip``
-    The PR-7 contract: lowering the mutant into an arena corpus,
-    serializing it, deserializing and running the fused arena sweep must
-    equal the direct object-graph pipeline on all five analyses -- the
-    wire format the pool workers consume loses nothing.
 
 Oracles never raise on a *divergence* -- they return a failing
 :class:`Verdict` with enough detail to fingerprint.  An oracle that
@@ -284,44 +279,6 @@ def oracle_hierarchical_vs_flat(
     return Verdict("hierarchical-vs-flat", True, checks)
 
 
-def oracle_bytes_roundtrip(
-    base_graph, mutant_graph, context: Mapping
-) -> Verdict:
-    """The PR-7 contract: lower -> serialize -> deserialize -> fused
-    arena solve equals the direct object-graph pipeline on the mutant
-    for all five analyses the sweep fuses."""
-    from repro.arena import ArenaCorpus, ExpressionPool, analyze_corpus
-    from repro.dataflow.bitsets import (
-        anticipatable_bitsets,
-        available_bitsets,
-        liveness_bitsets,
-        reaching_bitsets,
-    )
-    from repro.opt.cfg_constprop import cfg_constant_propagation
-
-    direct = {
-        "available": available_bitsets(mutant_graph),
-        "anticipatable": anticipatable_bitsets(mutant_graph),
-        "liveness": liveness_bitsets(mutant_graph),
-        "reaching": reaching_bitsets(mutant_graph),
-        "constprop": cfg_constant_propagation(mutant_graph),
-    }
-    corpus = ArenaCorpus(ExpressionPool())
-    corpus.add(mutant_graph, label="mutant")
-    decoded = ArenaCorpus.from_bytes(corpus.to_bytes())
-    results = analyze_corpus(decoded)["mutant"]
-    checks = 0
-    for name in sorted(direct):
-        checks += 1
-        if results[name] != direct[name]:
-            return Verdict(
-                "bytes-roundtrip", False, checks,
-                detail=f"{name}: arena byte roundtrip diverges from the "
-                       f"object-graph pipeline",
-            )
-    return Verdict("bytes-roundtrip", True, checks)
-
-
 def _ssa_snapshot(ssa):
     """The full comparison surface of an SSA overlay: names at every
     def/use/entry site plus each phi's result and per-edge arguments."""
@@ -423,7 +380,6 @@ ORACLES: dict[str, Callable] = {
     "structure": oracle_structure,
     "determinism": oracle_determinism,
     "hierarchical-vs-flat": oracle_hierarchical_vs_flat,
-    "bytes-roundtrip": oracle_bytes_roundtrip,
     "sparse-vs-dense": oracle_sparse_vs_dense,
 }
 

@@ -91,9 +91,6 @@ REPLAY_SIZES_SMOKE = (40, 80)
 #: so the rows start past the ~100-diamond crossover.
 BALANCE_SIZES = (128, 256, 512)
 BALANCE_SIZES_SMOKE = (128, 256)
-#: Arena workload rows: prefix sizes of the equivalence corpus.
-ARENA_SLICES = (51, 102, 204)
-ARENA_SLICES_SMOKE = (12, 24)
 #: Sparse-client workload rows: region counts of the F1 sparse-use
 #: ladder, where dense per-edge environments pay for every variable at
 #: every node while the split-based clients touch only live names.
@@ -220,85 +217,6 @@ def _bench_workload(
     }
 
 
-def _corpus_graphs(suite: list[dict]) -> list[tuple[str, Any]]:
-    """``(label, CFG)`` for every plain analysis spec of ``suite``."""
-    return [
-        (spec["label"],
-         build_cfg(resolve_family(spec["family"])(*spec["args"])))
-        for spec in suite
-    ]
-
-
-def _corpus_legacy(graphs: list[tuple[str, Any]]) -> dict[str, dict]:
-    """The PR-2 fast path, per program: a shared CSR snapshot feeding the
-    four bitset kernels (each building its own expression space, as the
-    registered passes do) plus vector constant propagation.  This is the
-    per-program work the batch driver performs today for the five results
-    the fused arena sweep produces."""
-    from repro.opt.cfg_constprop import cfg_constant_propagation
-
-    out: dict[str, dict] = {}
-    for label, graph in graphs:
-        csr = build_csr(graph)
-        out[label] = {
-            "available": available_bitsets(graph, csr=csr),
-            "anticipatable": anticipatable_bitsets(graph, csr=csr),
-            "liveness": liveness_bitsets(graph, csr=csr),
-            "reaching": reaching_bitsets(graph, csr=csr),
-            "constprop": cfg_constant_propagation(graph),
-        }
-    return out
-
-
-def bench_arena_fused(smoke: bool = False, repeat: int = 3) -> dict[str, Any]:
-    """The arena workload: fused corpus solve vs the per-program object
-    path, on growing prefixes of the 204-program equivalence corpus.
-
-    The fast side solves a *pre-lowered* corpus -- the arena is the
-    persistent representation the batch driver ships and reuses, so (as
-    with the edit-replay workload's persistent structures) its one-time
-    construction is amortized and disclosed separately per row as
-    ``lower_ms``, alongside the serialized corpus size the pool would
-    put on the wire (``arena_bytes``).  Both sides' decoded results are
-    compared for byte-identity on every row.
-    """
-    from repro.arena import ArenaCorpus, ExpressionPool, analyze_corpus
-
-    graphs = _corpus_graphs(equivalence_suite(smoke=smoke))
-    rows = []
-    for count in ARENA_SLICES_SMOKE if smoke else ARENA_SLICES:
-        subset = graphs[:count]
-
-        def build() -> ArenaCorpus:
-            corpus = ArenaCorpus(ExpressionPool())
-            for label, graph in subset:
-                corpus.add(graph, label=label)
-            return corpus
-
-        legacy_ms, legacy_result = _best_ms(
-            lambda: _corpus_legacy(subset), repeat
-        )
-        lower_ms, corpus = _best_ms(build, repeat)
-        fast_ms, fast_result = _best_ms(lambda: analyze_corpus(corpus), repeat)
-        rows.append({
-            "size": str(count),
-            "nodes": sum(g.num_nodes for _, g in subset),
-            "edges": sum(g.num_edges for _, g in subset),
-            "legacy_ms": round(legacy_ms, 3),
-            "fast_ms": round(fast_ms, 3),
-            "lower_ms": round(lower_ms, 3),
-            "arena_bytes": len(corpus.to_bytes()),
-            "speedup": round(legacy_ms / fast_ms, 2) if fast_ms else 0.0,
-            "identical": legacy_result == fast_result,
-        })
-    return {
-        "name": "arena-fused",
-        "family": "equivalence_corpus",
-        "rows": rows,
-        "largest": rows[-1],
-    }
-
-
 def bench_sparse_clients(smoke: bool = False, repeat: int = 3) -> dict[str, Any]:
     """The PR-9 workload: sparse range + taint clients vs their dense
     per-edge reference twins, on the F1 sparse-use ladder.
@@ -409,7 +327,6 @@ def run_bench(
     workloads.append(bench_edit_replay(replay_sizes, repeat=repeat))
     balance_sizes = BALANCE_SIZES_SMOKE if smoke else BALANCE_SIZES
     workloads.append(bench_root_balance(balance_sizes, repeat=repeat))
-    workloads.append(bench_arena_fused(smoke=smoke, repeat=repeat))
     workloads.append(bench_sparse_clients(smoke=smoke, repeat=repeat))
     if serve:
         from repro.serve.loadgen import bench_serve_loadgen
@@ -589,7 +506,7 @@ def lint_suite(smoke: bool = False) -> list[dict]:
 def sparse_suite(smoke: bool = False) -> list[dict]:
     """The sparse-client batch battery: programs analyzed through the
     sparse engine's client passes only (def-use, SSA, ranges, taint,
-    SCVN, NTSCD), each checked against its dense reference twin inside
+    NTSCD), each checked against its dense reference twin inside
     the worker.  The mix leans on the families where sparseness matters:
     the F1 sparse-use ladder, irreducible flowgraphs, and goto soup
     (whose infinite loops are exactly NTSCD's extra coverage)."""
@@ -655,7 +572,7 @@ def _analyze_one(spec: dict) -> dict:
     whole chunk, let alone the run.
 
     Specs with ``"sparse": True`` run the sparse-engine client passes
-    only (def-use, ranges, taint, SCVN, NTSCD) and cross-check each
+    only (def-use, ranges, taint, NTSCD) and cross-check each
     result against its dense reference twin inside the worker, reporting
     the agreement flags on the row.  Specs with ``"lint": True`` run the
     diagnostics engine (rule passes
@@ -667,29 +584,17 @@ def _analyze_one(spec: dict) -> dict:
     document to the row.  Specs with a ``"fuzz"`` entry dispatch
     to one mutation trial of :mod:`repro.fuzz.harness` (mutate, run
     oracles, report verdicts) -- that is how ``repro fuzz --jobs`` fans
-    trials across the supervised pool.  Specs with ``"regions": True``
-    summarize one subtree bucket of the program structure tree for one
-    analysis (:func:`repro.regions.parallel.summarize_subtree`) -- the
-    region-parallel phase-1 fan-out rides the same pool.  Specs with
-    ``"arena": True`` carry a serialized :class:`~repro.arena.arena.
-    ArenaCorpus` for a whole chunk of programs and dispatch to the fused
-    arena sweep (:func:`_analyze_arena_chunk`).
+    trials across the supervised pool.
     """
     from repro.pipeline.manager import AnalysisManager
     from repro.robust.errors import error_record
     from repro.util.metrics import Metrics
 
     try:
-        if spec.get("arena"):
-            return _analyze_arena_chunk(spec)
         if spec.get("fuzz"):
             from repro.fuzz.harness import run_trial
 
             return run_trial(spec)
-        if spec.get("regions"):
-            from repro.regions.parallel import summarize_subtree
-
-            return summarize_subtree(spec)
         if "source" in spec:
             # A raw-source spec (the serve daemon's batch-sarif path):
             # the text is the document, so spans stay genuine without a
@@ -711,7 +616,6 @@ def _analyze_one(spec: dict) -> dict:
             chains = manager.get("defuse")
             ranges = manager.get("sparse-range")
             taint = manager.get("sparse-taint")
-            scvn = manager.get("scvn")
             deps = manager.get("ntscd")
             wall_ms = (time.perf_counter() - t0) * 1000.0
 
@@ -742,7 +646,6 @@ def _analyze_one(spec: dict) -> dict:
                     "ntscd_deps": sum(
                         len(ps) for ps in deps.deps.values()
                     ),
-                    "scvn_classes": scvn.num_classes(),
                     "agree": agree,
                 },
                 "passes": {
@@ -819,108 +722,6 @@ def _analyze_one(spec: dict) -> dict:
         return {"label": spec.get("label"), "error": error_record(exc)}
 
 
-def _analyze_arena_chunk(spec: dict) -> dict:
-    """Worker body for one serialized arena chunk: decode the corpus,
-    fused-solve every program against one shared
-    :class:`~repro.arena.kernels.CorpusOrder`, and report one sub-row per
-    program (flattened into the run's row list by :func:`run_batch`).
-
-    Any decode or solve failure drops the whole chunk onto its fallback
-    twin -- the member specs re-analyzed through the object-graph
-    pipeline -- so a corrupt or version-skewed payload degrades to
-    slower rows, never lost ones.  The failure is recorded on the chunk
-    row as ``fallback``.
-    """
-    from repro.robust.errors import error_record
-    from repro.util.counters import WorkCounter
-
-    try:
-        from repro.arena import ArenaCorpus, CorpusOrder, analyze_arena
-
-        corpus = ArenaCorpus.from_bytes(spec["arena_bytes"])
-        counter = WorkCounter()
-        order = CorpusOrder(corpus.pool)
-        rows = []
-        for arena in corpus.programs:
-            before = counter.snapshot()
-            t0 = time.perf_counter()
-            analyze_arena(arena, corpus.pool, order=order, counter=counter)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            work = sum(counter.diff(before).values())
-            rows.append({
-                "label": arena.label,
-                "nodes": arena.n,
-                "edges": arena.m,
-                "wall_ms": round(wall_ms, 3),
-                "passes": {
-                    "arena-fused": {
-                        "work": work, "wall_ms": round(wall_ms, 3),
-                    },
-                },
-            })
-        return {
-            "label": spec["label"],
-            "arena_chunk": True,
-            "programs": len(rows),
-            "rows": rows,
-        }
-    except Exception as exc:
-        rows = [_analyze_one(sub) for sub in spec.get("specs", [])]
-        return {
-            "label": spec.get("label"),
-            "arena_chunk": True,
-            "fallback": error_record(exc),
-            "programs": len(rows),
-            "rows": rows,
-        }
-
-
-def build_arena_payloads(suite: list[dict], chunk_size: int) -> list[dict]:
-    """Parent-side lowering for arena payload mode: plain analysis specs
-    are chunked and each chunk lowered into one serialized
-    :class:`~repro.arena.arena.ArenaCorpus` spec (pool tables ship once
-    per chunk).  Specs in a special mode (lint / fuzz / regions) and
-    specs whose program builder fails keep their object-graph path: they
-    pass through unchanged, so poison specs still produce their usual
-    per-spec error rows."""
-    from repro.arena import ArenaCorpus, ExpressionPool
-
-    plain: list[dict] = []
-    passthrough: list[dict] = []
-    for spec in suite:
-        # Misbehaving test families must keep their supervised worker:
-        # lowering them here would hang or kill the parent process.
-        if (
-            spec.get("lint") or spec.get("fuzz") or spec.get("regions")
-            or str(spec.get("family", "")).startswith("__")
-        ):
-            passthrough.append(spec)
-        else:
-            plain.append(spec)
-    shipped: list[dict] = []
-    for i, chunk in enumerate(_chunked(plain, chunk_size)):
-        corpus = ArenaCorpus(ExpressionPool())
-        members = []
-        for spec in chunk:
-            try:
-                graph = build_cfg(
-                    resolve_family(spec["family"])(*spec["args"])
-                )
-                corpus.add(graph, label=spec["label"])
-            except Exception:
-                passthrough.append(spec)
-            else:
-                members.append(spec)
-        if members:
-            shipped.append({
-                "label": f"arena-chunk-{i}",
-                "arena": True,
-                "arena_bytes": corpus.to_bytes(),
-                "specs": members,
-            })
-    return shipped + passthrough
-
-
 def _analyze_chunk(specs: list[dict]) -> list[dict]:
     """Worker body: one row per spec of the chunk, errors included.
 
@@ -984,7 +785,6 @@ def run_batch(
     timeout_s: float | None = None,
     retries: int = 1,
     quarantine_dir: str | None = None,
-    payload_mode: str = "specs",
 ) -> dict[str, Any]:
     """Analyze ``suite`` across a process pool; aggregate per-pass metrics.
 
@@ -996,11 +796,7 @@ def run_batch(
     ``retries`` times with backoff and then quarantined -- with a
     delta-debugged minimized repro written to ``quarantine_dir``.
 
-    ``payload_mode="arena"`` ships each chunk of plain analysis specs as
-    one serialized :class:`~repro.arena.arena.ArenaCorpus` (see
-    :func:`build_arena_payloads`) and workers run the fused arena sweep;
-    special-mode specs keep their object path.  In both modes the time
-    spent building the IPC payloads is reported as its own
+    The time spent serializing the IPC payloads is reported as its own
     ``ipc_serialize_ms`` metric (with ``ipc_payload_bytes``) rather than
     being folded into ``pool_wall_ms``.
     """
@@ -1013,28 +809,16 @@ def run_batch(
     if chunk_size is None:
         chunk_size = max(1, (len(suite) + max(workers, 1) * 2 - 1)
                          // (max(workers, 1) * 2))
-    if payload_mode not in ("specs", "arena"):
-        from repro.robust.errors import InputError
-
-        raise InputError(
-            f"unknown batch payload mode {payload_mode!r}; available: "
-            f"specs, arena",
-            phase="batch-payload",
-        )
 
     t_ser = time.perf_counter()
-    if payload_mode == "arena":
-        shipped = build_arena_payloads(suite, chunk_size)
-    else:
-        shipped = suite
     # What actually crosses the pipe to a spawn worker, measured here so
     # pool_wall_ms is dispatch + analysis, not serialization.
-    ipc_payload_bytes = sum(len(pickle.dumps(spec)) for spec in shipped)
+    ipc_payload_bytes = sum(len(pickle.dumps(spec)) for spec in suite)
     ipc_serialize_ms = (time.perf_counter() - t_ser) * 1000.0
 
     t0 = time.perf_counter()
     if workers <= 0:
-        chunks = _chunked(shipped, chunk_size)
+        chunks = _chunked(suite, chunk_size)
         rows = [row for chunk in chunks for row in _analyze_chunk(chunk)]
         incidents = None
     else:
@@ -1049,23 +833,9 @@ def run_batch(
             incidents=incidents,
             minimizer=_batch_minimizer,
         )
-        rows = pool.run(shipped)
-        chunks = shipped  # one supervised process per payload
+        rows = pool.run(suite)
+        chunks = suite  # one supervised process per spec
     pool_wall_ms = (time.perf_counter() - t0) * 1000.0
-
-    # Flatten arena chunk rows into their per-program sub-rows.
-    flat_rows: list[dict] = []
-    arena_chunks = 0
-    arena_fallbacks = 0
-    for row in rows:
-        if row.get("arena_chunk"):
-            arena_chunks += 1
-            if row.get("fallback"):
-                arena_fallbacks += 1
-            flat_rows.extend(row["rows"])
-        else:
-            flat_rows.append(row)
-    rows = flat_rows
 
     ok_rows = [row for row in rows if "error" not in row]
     error_rows = [row for row in rows if "error" in row]
@@ -1097,7 +867,6 @@ def run_batch(
         "programs": len(rows),
         "workers": workers,
         "chunks": len(chunks),
-        "payload_mode": payload_mode,
         "pool_wall_ms": round(pool_wall_ms, 3),
         "ipc_serialize_ms": round(ipc_serialize_ms, 3),
         "ipc_payload_bytes": ipc_payload_bytes,
@@ -1105,10 +874,6 @@ def run_batch(
         "rows": rows,
         "passes": passes,
     }
-    if arena_chunks:
-        payload["arena_chunks"] = arena_chunks
-    if arena_fallbacks:
-        payload["arena_fallbacks"] = arena_fallbacks
     if lint_rows:
         payload["lint"] = {
             "programs": len(lint_rows),

@@ -42,24 +42,6 @@ from repro.util.metrics import Metrics
 #: :data:`repro.serve.cache.ENGINE_VERSION` bump.
 EXPORT_PICKLE_PROTOCOL = 4
 
-#: Per-pass ``(encode, decode)`` overrides for result export/import.
-#: Passes whose results have a better wire form than a pickle register
-#: one here (the ``arena`` pass ships its RPA1 corpus payload); every
-#: other pass gets the default pickle codec.  Module-level so codecs
-#: survive :meth:`PassRegistry.clone`.
-_RESULT_CODECS: dict[
-    str, tuple[Callable[[object], bytes], Callable[[bytes], object]]
-] = {}
-
-
-def register_result_codec(
-    name: str,
-    encode: Callable[[object], bytes],
-    decode: Callable[[bytes], object],
-) -> None:
-    """Override the export/import serialization for pass ``name``."""
-    _RESULT_CODECS[name] = (encode, decode)
-
 #: A pass body: receives the graph, its resolved dependencies (keyed by
 #: pass name), and the shared work counter; returns the analysis result.
 BuildFn = Callable[[CFG, Mapping[str, object], WorkCounter], object]
@@ -322,11 +304,7 @@ class AnalysisManager:
         mutates the warm graph after exporting and asserts the cached
         answer is unaffected.
         """
-        result = self.get(name)
-        codec = _RESULT_CODECS.get(name)
-        if codec is not None:
-            return codec[0](result)
-        return pickle.dumps(result, protocol=EXPORT_PICKLE_PROTOCOL)
+        return pickle.dumps(self.get(name), protocol=EXPORT_PICKLE_PROTOCOL)
 
     def import_result(self, name: str, blob: bytes) -> object:
         """Materialize an exported blob and adopt it as pass ``name``.
@@ -336,11 +314,7 @@ class AnalysisManager:
         source SHA-256 and engine version for exactly this reason);
         adopting a blob from a different program would poison dependents.
         """
-        codec = _RESULT_CODECS.get(name)
-        if codec is not None:
-            result = codec[1](blob)
-        else:
-            result = pickle.loads(blob)
+        result = pickle.loads(blob)
         self.adopt(name, result)
         return result
 

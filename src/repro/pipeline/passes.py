@@ -13,8 +13,7 @@
          ├─ reaching
          ├─ available / pavailable
          ├─ defuse ── constprop-defuse
-         ├─ constprop-cfg
-         └─ arena ── arena-dataflow
+         └─ constprop-cfg
 
 The ``csr`` pass snapshots the CFG into flat arrays
 (:class:`repro.perf.csr.CSRGraph`); the graph-structure passes all run
@@ -51,7 +50,7 @@ from repro.graphs.dfs import depth_first_search_csr
 from repro.graphs.dominance import edge_dominators, edge_postdominators
 from repro.opt.cfg_constprop import cfg_constant_propagation
 from repro.perf.csr import build_csr
-from repro.pipeline.manager import PassRegistry, register_result_codec
+from repro.pipeline.manager import PassRegistry
 from repro.ssa.from_dfg import build_ssa_from_dfg
 from repro.ssa.sccp import sparse_conditional_constant_propagation
 
@@ -290,58 +289,3 @@ def _sparse_taint(graph, deps, counter):
     from repro.sparse.taint import taint_analysis
 
     return taint_analysis(graph, counter=counter)
-
-
-@_REGISTRY.register(
-    "scvn", deps=("ssa", "sccp"),
-    description="sparse conditional value numbering over SCCP facts",
-)
-def _scvn(graph, deps, counter):
-    from repro.sparse.scvn import sparse_value_numbering
-
-    return sparse_value_numbering(deps["ssa"], deps["sccp"], counter)
-
-
-@_REGISTRY.register(
-    "arena", deps=("cfg",),
-    description="struct-of-arrays arena lowering over an interned "
-                "expression pool",
-)
-def _arena(graph, deps, counter):
-    from repro.arena import ExpressionPool, lower_cfg
-
-    pool = ExpressionPool(counter=counter)
-    return (pool, lower_cfg(graph, pool, counter=counter))
-
-
-@_REGISTRY.register(
-    "arena-dataflow", deps=("arena",),
-    description="fused arena solve: the four bitset analyses plus vector "
-                "constant propagation in one sweep",
-)
-def _arena_dataflow(graph, deps, counter):
-    from repro.arena import analyze_arena
-
-    pool, arena = deps["arena"]
-    return analyze_arena(arena, pool, counter=counter)
-
-
-def _arena_encode(result) -> bytes:
-    """Export the ``arena`` pass as its RPA1 wire payload (a one-program
-    corpus) instead of a pickle: the versioned varint format is smaller,
-    and decode rebuilds the pool's derived tables from scratch -- a
-    detach by construction."""
-    from repro.arena.arena import ArenaCorpus
-
-    pool, arena = result
-    return ArenaCorpus(pool, [arena]).to_bytes()
-
-
-def _arena_decode(blob: bytes):
-    from repro.arena.arena import ArenaCorpus
-
-    corpus = ArenaCorpus.from_bytes(blob)
-    return (corpus.pool, corpus.programs[0])
-
-
-register_result_codec("arena", _arena_encode, _arena_decode)

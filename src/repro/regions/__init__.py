@@ -10,8 +10,6 @@ The modules layer bottom-up:
 * :mod:`repro.regions.incremental`  -- the continuously-solved engine
   with signature-keyed per-region caches;
 * :mod:`repro.regions.edits`        -- the statement-level edit API;
-* :mod:`repro.regions.parallel`     -- sibling-subtree summarization
-  through the supervised worker pool;
 * :mod:`repro.regions.replay`       -- the deterministic edit-replay
   benchmark workload.
 """
@@ -20,11 +18,9 @@ from repro.regions.edits import EditSession
 from repro.regions.hierarchical import (
     build_region_systems,
     core_problems,
-    hierarchical_summaries,
     solve_hierarchical,
 )
 from repro.regions.incremental import ANALYSES, RegionDataflow
-from repro.regions.parallel import parallel_summaries
 from repro.regions.replay import bench_edit_replay, replay_row
 from repro.regions.systems import RegionSystems, build_systems
 
@@ -37,8 +33,6 @@ __all__ = [
     "build_region_systems",
     "build_systems",
     "core_problems",
-    "hierarchical_summaries",
-    "parallel_summaries",
     "replay_row",
     "solve_hierarchical",
 ]

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 
 from repro.perf.bitset import BitsetProblem
 from repro.regions.systems import (
-    CHAIN,
     CHILD_UNIT,
     INPUT,
     NODE_UNIT,
@@ -282,58 +281,6 @@ def solve_hierarchical(
     return out
 
 
-def hierarchical_summaries(
-    csr: "CSRGraph",
-    regions: RegionSystems,
-    problem: BitsetProblem,
-    counter: WorkCounter | None = None,
-    only: set[int] | None = None,
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Phase 1 alone: ``{(entry, exit): (gen, kill)}`` region summaries.
-
-    ``only`` restricts the sweep to the named system indices *plus all
-    their descendants* (a subtree's summaries are self-contained, which
-    is what lets sibling subtrees be summarized in parallel workers).
-    Synthetic chain systems are skipped: they are re-associations of
-    the root solve, not regions, and a real region's summary never
-    depends on one -- so the result is the same key set whether the
-    assembly was balanced or not, and parallel workers summarizing real
-    subtrees merge to exactly this map.
-    """
-    forward = problem.direction == "forward"
-    root_dense = csr.start if forward else csr.end
-    boundary_node = csr.node_ids[root_dense]
-    node_gen, node_kill = node_masks(csr, problem)
-    systems = regions.systems
-
-    wanted: set[int] | None = None
-    if only is not None:
-        wanted = set()
-        stack = list(only)
-        while stack:
-            index = stack.pop()
-            if index not in wanted:
-                wanted.add(index)
-                stack.extend(systems[index].children)
-
-    summaries: dict[int, tuple[int, int]] = {}
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for system in reversed(systems):
-        if system.region is None or system.region is CHAIN:
-            continue
-        if wanted is not None and system.index not in wanted:
-            continue
-        solved = solve_system_functions(
-            system, systems, problem, node_gen, node_kill,
-            summaries, boundary_node, counter,
-        )
-        summaries[system.index] = solved[
-            system.exit if forward else system.entry
-        ]
-        out[system.key] = summaries[system.index]
-    return out
-
-
 def core_problems(
     graph, csr: "CSRGraph | None" = None
 ) -> dict[str, BitsetProblem]:
@@ -341,7 +288,8 @@ def core_problems(
     one shared CSR snapshot, ``{name: problem}`` -- the common input for
     running :func:`repro.perf.bitset.solve_bitset` and
     :func:`solve_hierarchical` side by side (differential tests, the
-    ``hierarchical-vs-flat`` fuzz oracle, parallel summary workers)."""
+    ``hierarchical-vs-flat`` fuzz oracle, the ``region-summaries``
+    fallback)."""
     from repro.dataflow.bitsets import (
         expression_problem,
         expression_space,

@@ -16,10 +16,9 @@ The oracle table (:func:`default_oracles`) covers exactly the passes
 whose fast path has a reference twin: ``dfs``, ``dom``, ``pdom``,
 ``cycle-equiv``, ``sese`` (rebuilt from the reference substrates),
 ``liveness``, ``reaching``, ``available``, ``pavailable``,
-``region-summaries``, ``arena-dataflow`` (the fused arena solve
-degrades onto the object-graph five-pass menu it replaces), ``defuse``
-(the sparse-engine projection degrades onto the dense
-reaching-definitions construction), and the sparse clients
+``region-summaries``, ``defuse`` (the sparse-engine projection
+degrades onto the dense reaching-definitions construction), and the
+sparse clients
 ``sparse-range``, ``sparse-taint`` and ``ntscd`` (dense / brute-force
 reference twins).
 :func:`results_equal` knows how to compare each pass's result shape --
@@ -136,27 +135,6 @@ def _oracle_region_summaries(graph, deps, counter):
     return out
 
 
-def _oracle_arena_dataflow(graph, deps, counter):
-    """Object-graph twin of the fused arena solve: the four bitset
-    analyses plus vector constant propagation, result shapes matching
-    :func:`repro.arena.kernels.analyze_arena`."""
-    from repro.dataflow.bitsets import (
-        anticipatable_bitsets,
-        available_bitsets,
-        liveness_bitsets,
-        reaching_bitsets,
-    )
-    from repro.opt.cfg_constprop import cfg_constant_propagation
-
-    return {
-        "available": available_bitsets(graph),
-        "anticipatable": anticipatable_bitsets(graph),
-        "liveness": liveness_bitsets(graph),
-        "reaching": reaching_bitsets(graph),
-        "constprop": cfg_constant_propagation(graph, counter),
-    }
-
-
 def _oracle_defuse(graph, deps, counter):
     from repro.defuse.chains import build_def_use_chains_reference
 
@@ -192,7 +170,6 @@ _ORACLES: dict[str, OracleFn] = {
     "available": _oracle_available,
     "pavailable": _oracle_pavailable,
     "region-summaries": _oracle_region_summaries,
-    "arena-dataflow": _oracle_arena_dataflow,
     "defuse": _oracle_defuse,
     "sparse-range": _oracle_sparse_range,
     "sparse-taint": _oracle_sparse_taint,
@@ -252,24 +229,6 @@ def _facts_eq(a, b) -> bool:
     return a.facts() == b.facts()
 
 
-def _arena_eq(a, b) -> bool:
-    """Two ``(pool, arena)`` lowerings are the same answer when their
-    shipped core tables match -- every derived pool table is a function
-    of those, and :class:`~repro.arena.arena.ProgramArena` compares by
-    value."""
-    pool_a, arena_a = a
-    pool_b, arena_b = b
-    return (
-        pool_a.names == pool_b.names
-        and pool_a.literals == pool_b.literals
-        and pool_a.kind == pool_b.kind
-        and pool_a.arg0 == pool_b.arg0
-        and pool_a.arg1 == pool_b.arg1
-        and pool_a.arg2 == pool_b.arg2
-        and arena_a == arena_b
-    )
-
-
 def _regions_eq(a, b) -> bool:
     """Two region-system assemblies are the same answer when every
     system has the same boundary, ownership, hierarchy and units."""
@@ -294,7 +253,6 @@ _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "csr": _csr_eq,
     "defuse": _chains_eq,
     "regions": _regions_eq,
-    "arena": _arena_eq,
     "sparse-range": _facts_eq,
     "sparse-taint": _facts_eq,
     "ntscd": _facts_eq,

@@ -3,8 +3,7 @@
 Every entry is keyed by the triple ``(source_sha256, pass_name,
 engine_version)`` and holds an opaque byte blob -- a pickled pass result
 exported through :meth:`repro.pipeline.manager.AnalysisManager.
-export_result`, an ``RPA1`` arena payload (the ``arena`` pass's codec),
-or a canonical op-level JSON document.  The on-disk layout::
+export_result`, or a canonical op-level JSON document.  The on-disk layout::
 
     <root>/<engine_version>/<sha[:2]>/<sha>/<pass_name>.bin
 
@@ -25,7 +24,7 @@ properties, each pinned by ``tests/test_serve_cache.py``:
 
 The cache never stores live objects: callers hand it bytes produced by
 a detaching exporter, so no entry can alias a warm manager's mutable
-graph (see DESIGN.md section 15 on cache key discipline).
+graph (see DESIGN.md section 14 on cache key discipline).
 """
 
 from __future__ import annotations

@@ -23,8 +23,6 @@ This package is that construction for the reproduction's CFGs:
   branch refinement (sigma splitting), plus a dense reference twin.
 * :mod:`repro.sparse.taint` -- forward taint tracking (sources: entry
   reads; sinks: prints/stores), plus a dense reference twin.
-* :mod:`repro.sparse.scvn` -- sparse conditional value numbering
-  layered on SCCP's executable-edge information.
 
 The existing representations are thin instantiations: ``ssa/cytron.py``
 and ``defuse/chains.py`` both delegate to this engine (their dense
@@ -48,7 +46,6 @@ from repro.sparse.range_analysis import (
     range_analysis,
     range_analysis_reference,
 )
-from repro.sparse.scvn import SCVNResult, sparse_value_numbering
 from repro.sparse.taint import TaintResult, taint_analysis, taint_analysis_reference
 
 __all__ = [
@@ -56,7 +53,6 @@ __all__ = [
     "Interval",
     "IntervalLattice",
     "RangeResult",
-    "SCVNResult",
     "SSAStrategy",
     "SparseForm",
     "SplittingStrategy",
@@ -66,7 +62,6 @@ __all__ = [
     "range_analysis_reference",
     "solve",
     "sparse_chain_items",
-    "sparse_value_numbering",
     "taint_analysis",
     "taint_analysis_reference",
 ]

@@ -171,7 +171,7 @@ def test_bench_smoke_payload(tmp_path, capsys):
     names = [w["name"] for w in payload["workloads"]]
     assert names == [
         "c1-structure", "f4-dataflow", "edit-replay",
-        "edit-replay-balance", "arena-fused", "sparse-clients",
+        "edit-replay-balance", "sparse-clients",
     ]
     for workload in payload["workloads"]:
         assert workload["rows"], workload["name"]

@@ -183,8 +183,8 @@ def test_generators_and_mutators_identical_across_hash_seeds() -> None:
 
 # -- region summaries and the edit-replay workload ----------------------------
 #
-# The PR-6 surfaces: phase-1 region summaries (canonical ``(gen, kill)``
-# pairs keyed by region boundary) and the ``repro.bench/1`` edit-replay
+# The PR-6 surfaces: hierarchical region-summary solves (per-edge fact
+# masks over the shared bit universes) and the ``repro.bench/1`` edit-replay
 # payload must not depend on set iteration order anywhere in the SESE
 # update, the system assembly, or the solver.  Timing fields are zeroed;
 # everything else -- summary values, work counters, edit counts -- must
@@ -192,13 +192,23 @@ def test_generators_and_mutators_identical_across_hash_seeds() -> None:
 
 _REGION_SCRIPT = """\
 import json
-from repro.regions.parallel import parallel_summaries
+from repro.cfg.builder import build_cfg
+from repro.perf.batch import resolve_family
+from repro.perf.csr import build_csr
+from repro.regions.hierarchical import (
+    build_region_systems,
+    core_problems,
+    solve_hierarchical,
+)
 from repro.regions.replay import build_replay_graph, edit_script, replay_row
 from repro.regions.edits import EditSession
 
 for family, args in (("diamond", [24]), ("loopnest", [4]), ("jump", [6])):
-    payload = parallel_summaries(family, tuple(args), workers=0)
-    print(json.dumps(payload, sort_keys=True))
+    graph = build_cfg(resolve_family(family)(*args))
+    csr = build_csr(graph)
+    regions = build_region_systems(graph)
+    for name, problem in sorted(core_problems(graph, csr).items()):
+        print(name, solve_hierarchical(csr, regions, problem))
 
 row = replay_row(24, repeat=1)
 for key in ("legacy_ms", "fast_ms", "speedup"):
@@ -274,8 +284,8 @@ def test_fuzz_payload_bytes_identical_across_hash_seeds(tmp_path) -> None:
 
 # -- the sparse-engine clients ------------------------------------------------
 #
-# The PR-9 surfaces: def-use chains, interval ranges, taint, NTSCD and
-# SCVN all key worklists on variable *names*, so a single unsorted set
+# The PR-9 surfaces: def-use chains, interval ranges, taint and NTSCD
+# all key worklists on variable *names*, so a single unsorted set
 # iteration anywhere in the splitting engine or a client would leak the
 # hash seed into fact order, SSA numbering, or work counters.
 
@@ -283,7 +293,6 @@ _SPARSE_SCRIPT = """\
 from repro.cfg.builder import build_cfg
 from repro.controldep.ntscd import ntscd
 from repro.defuse.chains import build_def_use_chains
-from repro.pipeline.manager import AnalysisManager
 from repro.sparse.range_analysis import range_analysis
 from repro.sparse.taint import taint_analysis
 from repro.util.counters import WorkCounter
@@ -306,8 +315,6 @@ for builder, args in (
     print(taint_analysis(graph, counter=counter).facts())
     print(ntscd(graph, counter=counter).facts())
     print(sorted(counter.snapshot().items()))
-    manager = AnalysisManager(graph)
-    print(manager.get("scvn").facts())
 """
 
 
@@ -350,7 +357,7 @@ corpus = loadgen_corpus(smoke=True)
 for label, source in corpus[:6]:
     sha = source_sha(source)
     print(label, sha)
-    for name in ("cfg", "sese", "dfg", "constprop", "arena", "op:lint"):
+    for name in ("cfg", "sese", "dfg", "constprop", "op:lint"):
         print(cache_key_bytes(sha, name, "seed-sweep").hex())
     for op in ("analyze", "constprop", "lint"):
         print(canonical_json(run_op(op, source, label=label)).hex())

@@ -42,8 +42,7 @@ SHAPE_PASSES = (
 EXPR_PASSES = (
     "dfg", "defuse", "liveness", "reaching", "available", "pavailable",
     "ssa", "constprop", "constprop-cfg", "constprop-defuse", "sccp",
-    "region-summaries", "arena", "arena-dataflow",
-    "sparse-range", "sparse-taint", "scvn",
+    "region-summaries", "sparse-range", "sparse-taint",
 )
 
 
@@ -168,7 +167,7 @@ def test_explicit_invalidate_cascades_to_declared_dependents():
     manager = fresh_manager()
     manager.run_all()
     dropped = manager.invalidate("dfg")
-    assert dropped == {"dfg", "ssa", "sccp", "constprop", "scvn"}
+    assert dropped == {"dfg", "ssa", "sccp", "constprop"}
     for name in dropped:
         assert not manager.cached(name), name
     # Unrelated branches of the DAG stay warm.
@@ -178,7 +177,7 @@ def test_explicit_invalidate_cascades_to_declared_dependents():
 
 def test_downstream_closure():
     registry = default_registry()
-    assert registry.downstream("ssa") == {"ssa", "sccp", "scvn"}
+    assert registry.downstream("ssa") == {"ssa", "sccp"}
     assert registry.downstream("defuse") == {"defuse", "constprop-defuse"}
     sese_down = registry.downstream("sese")
     assert {"sese", "dfg", "ssa", "sccp", "constprop"} <= sese_down

@@ -33,7 +33,6 @@ from repro.regions.hierarchical import (
     core_problems,
     solve_hierarchical,
 )
-from repro.regions.parallel import parallel_summaries
 from repro.workloads.generators import (
     irreducible_program,
     random_jump_program,
@@ -121,14 +120,3 @@ def test_hierarchical_matches_flat_on_arbitrary_programs(program) -> None:
     # execution-based check could cover; the solve is static, so the
     # equivalence must hold regardless.
     _assert_hierarchical_matches_flat(build_cfg(program), "hypothesis")
-
-
-def test_parallel_summaries_match_sequential_sweep() -> None:
-    # ``verify=True`` raises on any divergence between the pooled merge
-    # and the in-process sweep; workers=0 keeps CI deterministic.
-    payload = parallel_summaries("diamond", (40,), workers=0)
-    assert payload["verified"] is True
-    assert payload["systems"] > 0
-    assert set(payload["summaries"]) == {
-        "available", "anticipatable", "liveness", "reaching",
-    }

@@ -15,11 +15,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.cfg.builder import build_cfg
 from repro.lang.parser import parse_expr, parse_program
 from repro.pipeline.manager import AnalysisManager
 from repro.pipeline.passes import default_registry
 from repro.serve.cache import ResultCache, cache_key_bytes, source_sha
+from repro.serve.ops import (
+    OP_PASSES,
+    analyze_payload,
+    constprop_payload,
+    lint_document,
+)
 from repro.util.metrics import Metrics
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -42,6 +50,13 @@ SMOKE_CORPUS = {
 }
 
 ALL_PASSES = default_registry().names()
+
+#: Each source op's answer, built on a caller-supplied manager.
+_OP_ANSWERS = {
+    "analyze": analyze_payload,
+    "constprop": constprop_payload,
+    "lint": lambda graph, manager: lint_document(graph),
+}
 
 
 def _manager(source: str) -> AnalysisManager:
@@ -99,20 +114,16 @@ def test_import_result_feeds_dependents(tmp_path) -> None:
     )
 
 
-def test_arena_blob_is_rpa1_wire_format() -> None:
-    """The arena pass exports its versioned RPA1 payload, not a pickle,
-    and the import rebuilds an equivalent pool + program."""
-    from repro.arena import analyze_arena
-
-    source = SMOKE_CORPUS["branchy"]
-    producer = _manager(source)
-    blob = producer.export_result("arena")
-    assert blob.startswith(b"RPA1")
-
-    consumer = _manager(source)
-    pool, arena = consumer.import_result("arena", blob)
-    p_pool, p_arena = producer.get("arena")
-    assert analyze_arena(arena, pool) == analyze_arena(p_arena, p_pool)
+@pytest.mark.parametrize("op", sorted(OP_PASSES))
+def test_op_pass_set_is_read_by_the_answer(op) -> None:
+    """Every pass the daemon imports and exports for ``op`` must be one
+    the op's answer resolves: an unread pass in ``OP_PASSES`` would be
+    computed, pickled and stored on every cold miss for nothing."""
+    for label, source in SMOKE_CORPUS.items():
+        manager = _manager(source)
+        _OP_ANSWERS[op](manager.graph, manager)
+        unread = [name for name in OP_PASSES[op] if not manager.cached(name)]
+        assert unread == [], (label, unread)
 
 
 # -- engine version bump ------------------------------------------------------
@@ -227,7 +238,7 @@ def test_export_detaches_from_live_graph() -> None:
     producer = _manager(source)
     blobs = {
         name: producer.export_result(name)
-        for name in ("cfg", "sese", "dfg", "constprop", "arena")
+        for name in ("cfg", "sese", "dfg", "constprop")
     }
 
     # Mutate the live graph through an edit session sharing the manager:

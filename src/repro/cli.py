@@ -32,7 +32,6 @@ import sys
 from repro.cfg.builder import build_cfg
 from repro.cfg.dot import cfg_to_dot
 from repro.cfg.interp import run_cfg
-from repro.core.dfg import CTRL_VAR
 from repro.lang.errors import LangError
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_expr
@@ -75,31 +74,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    graph = build_cfg(_load(args.file))
-    manager = AnalysisManager(graph)
-    structure = manager.get("sese")
-    dfg = manager.get("dfg")
-    constants = manager.get("constprop")
+    from repro.serve.ops import analyze_payload
 
-    print(f"CFG: {graph.num_nodes} nodes, {graph.num_edges} edges, "
-          f"{len(graph.variables())} variables")
-    print(f"control structure: {len(structure.classes)} cycle-equivalence "
-          f"classes, {len(structure.regions)} canonical SESE regions "
-          f"(max nesting {max((r.depth for r in structure.regions), default=0)})")
-    print(f"DFG: {dfg.size()} dependence edges "
-          f"({dfg.size(include_control=False)} data), "
-          f"{len(dfg.multiedges())} multiedges")
-    found = {
-        key: value
-        for key, value in constants.constant_uses().items()
-        if key[1] != CTRL_VAR
-    }
-    print(f"constants: {len(found)} uses are compile-time constants")
+    graph = build_cfg(_load(args.file))
+    answer = analyze_payload(graph, AnalysisManager(graph))
+    print(f"CFG: {answer['nodes']} nodes, {answer['edges']} edges, "
+          f"{answer['variables']} variables")
+    print(f"control structure: {answer['cycle_classes']} cycle-equivalence "
+          f"classes, {answer['sese_regions']} canonical SESE regions "
+          f"(max nesting {answer['max_nesting']})")
+    print(f"DFG: {answer['dfg_edges']} dependence edges "
+          f"({answer['dfg_data_edges']} data), "
+          f"{answer['multiedges']} multiedges")
+    constants = answer["constant_uses"]
+    print(f"constants: {len(constants)} uses are compile-time constants")
     if args.verbose:
-        for (node, var), value in sorted(found.items()):
+        for use, value in constants.items():
+            node, _, var = use.partition(":")
             print(f"  node {node}: {var} = {value}")
-    if constants.dead_nodes:
-        print(f"dead code: statements {sorted(constants.dead_nodes)} can "
+    if answer["dead_nodes"]:
+        print(f"dead code: statements {answer['dead_nodes']} can "
               f"never execute")
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -236,6 +230,7 @@ def _lint_dot(graph, diagnostics) -> str:
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint.engine import LintEngine, LintResult
     from repro.lint.model import SEVERITIES
+    from repro.lint.oracle import DEFAULT_PROBE_STEPS
     from repro.lint.output import (
         baseline_fingerprints,
         baseline_payload,
@@ -246,8 +241,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
 
     graph = build_cfg(_load(args.file))
+    max_steps = (
+        DEFAULT_PROBE_STEPS if args.max_steps is None else args.max_steps
+    )
     result = LintEngine(graph).run(
-        verify=not args.no_verify, max_steps=args.max_steps
+        verify=not args.no_verify, max_steps=max_steps
     )
 
     if args.write_baseline:
@@ -413,9 +411,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
         lint = result["lint"]
         print(f"lint: {lint['findings']} findings over "
               f"{lint['programs']} programs, {lint['verified']} verified, "
-              f"{lint['unverified_definite']} unverified definite",
+              f"{lint['unverified_definite']} unverified definite, "
+              f"{lint['oracle_failures']} oracle failures",
               file=sys.stderr)
-        if lint["unverified_definite"]:
+        if lint["unverified_definite"] or lint["oracle_failures"]:
             return 1
     if result.get("errors"):
         print(f"{result['errors']} programs failed "
@@ -649,8 +648,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="exit 1 when an unsuppressed finding is at least this severe",
     )
     lint_p.add_argument(
-        "--max-steps", type=int, default=20_000,
-        help="step budget per oracle refutation probe",
+        "--max-steps", type=int, default=None,
+        help="step budget per oracle refutation probe (default: the "
+        "oracle's DEFAULT_PROBE_STEPS)",
     )
     lint_p.set_defaults(handler=cmd_lint)
 

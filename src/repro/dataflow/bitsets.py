@@ -67,9 +67,7 @@ def liveness_problem(
     live_out: frozenset[str] = frozenset(),
 ) -> tuple[BitsetProblem, list[str]]:
     """Compile liveness to a :class:`BitsetProblem`; returns the problem
-    and the universe its bit numbering is over.  Shared by the flat
-    solver below and the hierarchical/incremental region solvers, so
-    both sides number facts identically."""
+    and the universe its bit numbering is over."""
     universe = sorted(graph.variables() | live_out)
     index = {var: i for i, var in enumerate(universe)}
     n = csr.n
@@ -213,10 +211,8 @@ def expression_problem(
 ) -> tuple[BitsetProblem, ExpressionSpace]:
     """The compiled bitset problem for one expression analysis
     (``forward``+``must`` = AV, ``backward``+``must`` = ANT, ...), plus
-    the shared :class:`ExpressionSpace` for decoding.  This is the same
-    problem :func:`available_bitsets` et al. solve -- exposed so
-    alternative solvers (the hierarchical region solver) can be run on
-    byte-identical inputs."""
+    the shared :class:`ExpressionSpace` for decoding -- the problem
+    :func:`available_bitsets` et al. solve."""
     if space is None:
         space = expression_space(graph, csr)
     problem = BitsetProblem(

@@ -28,10 +28,12 @@ acceptance contract) guarantees:
     fresh copies must serialize identically (the PR-1 contract the
     byte-deterministic payloads depend on).
 ``hierarchical-vs-flat``
-    The PR-6 contract: solving the four core analyses bottom-up/top-down
-    over the region-summary hierarchy yields fact masks identical to the
-    flat bitset fixpoint on the mutant (distributivity of bitvector
-    frameworks over the closure-verified system construction).
+    The PR-6 contract on the shipped ``edit`` engine: a fresh
+    :class:`~repro.regions.edits.EditSession` solving the four core
+    analyses bottom-up/top-down over the region-summary hierarchy
+    decodes to the same facts as the flat bitset fixpoint on the mutant
+    (distributivity of bitvector frameworks over the closure-verified
+    system construction).
 ``sparse-vs-dense``
     The PR-9 contract: every client of the parameterized sparse engine
     (def-use chains, SSA construction, interval ranges, taint, NTSCD)
@@ -245,36 +247,33 @@ def oracle_structure(base_graph, mutant_graph, context: Mapping) -> Verdict:
 def oracle_hierarchical_vs_flat(
     base_graph, mutant_graph, context: Mapping
 ) -> Verdict:
-    """The PR-6 contract: the hierarchical region-summary solve of the
-    four core analyses is mask-identical to the flat bitset solve on the
-    mutant.  Bitvector frameworks are distributive, so a summarized
-    fixpoint applied to the real boundary must equal the flat fixpoint
-    (paper Theorem 1 + the closure-verified system construction)."""
-    from repro.perf.bitset import solve_bitset
-    from repro.perf.csr import build_csr
-    from repro.regions.hierarchical import (
-        build_region_systems,
-        core_problems,
-        solve_hierarchical,
-    )
+    """The PR-6 contract, checked on the engine the ``edit`` op ships:
+    :class:`~repro.regions.edits.EditSession`'s region-summary solve of
+    the four core analyses decodes to the same per-edge facts as the
+    flat bitset solvers on the mutant.  Bitvector frameworks are
+    distributive, so a summarized fixpoint applied to the real boundary
+    must equal the flat fixpoint (paper Theorem 1 + the closure-verified
+    system construction)."""
+    from repro.regions.edits import EditSession
+    from repro.regions.replay import _flat_all
 
-    csr = build_csr(mutant_graph)
-    regions = build_region_systems(mutant_graph)
-    problems = core_problems(mutant_graph, csr)
+    session = EditSession(mutant_graph)
+    hier = session.solve_all()
+    flat = _flat_all(mutant_graph)
     checks = 0
-    for name in sorted(problems):
-        flat = solve_bitset(csr, problems[name])
-        hier = solve_hierarchical(csr, regions, problems[name])
+    for name in sorted(flat):
         checks += 1
-        if flat != hier:
-            bad = [
-                csr.edge_ids[e] for e in range(csr.m) if flat[e] != hier[e]
-            ]
+        if flat[name] != hier[name]:
+            bad = sorted(
+                eid for eid in flat[name]
+                if flat[name][eid] != hier[name].get(eid)
+            )
             return Verdict(
                 "hierarchical-vs-flat", False, checks,
-                detail=f"{name}: hierarchical solve diverges from flat "
-                       f"bitset solve on edges {bad[:8]} "
-                       f"({regions.dissolved} dissolved regions)",
+                detail=f"{name}: region engine diverges from flat bitset "
+                       f"solve on edges {bad[:8]} "
+                       f"({session.engine.systems.dissolved} dissolved "
+                       f"regions)",
             )
     return Verdict("hierarchical-vs-flat", True, checks)
 

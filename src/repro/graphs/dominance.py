@@ -21,7 +21,7 @@ Two implementations of the core fixpoint coexist:
   :func:`cfg_postdominators`, :func:`edge_dominators` and
   :func:`edge_postdominators`, which runs
   :func:`repro.perf.kernels.csr_dominators` on a flat-array snapshot
-  (building the split graph directly in CSR form for the edge
+  (deriving the split-graph trees from the node trees for the edge
   variants).  Immediate dominators are unique, so both paths produce
   identical trees.
 """

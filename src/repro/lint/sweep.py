@@ -26,6 +26,7 @@ from repro.cfg.builder import build_cfg
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pretty_program
 from repro.lint.engine import LintEngine
+from repro.lint.oracle import DEFAULT_PROBE_STEPS
 from repro.perf.batch import equivalence_suite, resolve_family
 from repro.workloads.lint_defects import PLANTED_RULES, lint_defect_case
 
@@ -140,7 +141,8 @@ def _sweep_planted(smoke: bool, max_steps: int) -> dict:
 
 
 def run_lint_sweep(
-    tag: str = "dev", smoke: bool = False, max_steps: int = 20_000
+    tag: str = "dev", smoke: bool = False,
+    max_steps: int = DEFAULT_PROBE_STEPS,
 ) -> dict:
     """The full sweep; returns the ``repro.lintsweep/1`` payload.
 

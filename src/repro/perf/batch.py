@@ -684,6 +684,7 @@ def _analyze_one(spec: dict) -> dict:
                     "demoted": summary["demoted"],
                     "refuted": summary["refuted"],
                     "unverified_definite": result.unverified_definite(),
+                    "oracle_failures": len(result.oracle_failures),
                 },
                 "passes": {
                     row["pass"]: {
@@ -883,6 +884,9 @@ def run_batch(
             "refuted": sum(r["lint"]["refuted"] for r in lint_rows),
             "unverified_definite": sum(
                 r["lint"]["unverified_definite"] for r in lint_rows
+            ),
+            "oracle_failures": sum(
+                r["lint"]["oracle_failures"] for r in lint_rows
             ),
         }
     if error_rows:

@@ -156,51 +156,3 @@ class CSRGraph:
 def build_csr(graph: CFG) -> CSRGraph:
     """Snapshot ``graph`` into CSR form (O(V + E))."""
     return CSRGraph(graph)
-
-
-def split_csr(csr: CSRGraph) -> tuple[list[int], list[int], int]:
-    """The *split graph* of Definition 2 in CSR form.
-
-    Every CFG edge is materialized as a vertex between its endpoints:
-    vertices ``0..n-1`` are the CFG nodes (dense order) and vertex
-    ``n + e`` is dense edge ``e``.  Returns ``(offsets, targets,
-    num_vertices)`` for the successor direction; predecessors are the
-    same arrays read through :func:`reverse_adjacency`.
-    """
-    n, m = csr.n, csr.m
-    total = n + m
-    offsets = [0] * (total + 1)
-    # Node vertex v keeps its out-degree; every edge vertex has degree 1.
-    for v in range(n):
-        offsets[v + 1] = offsets[v] + (csr.succ_off[v + 1] - csr.succ_off[v])
-    for e in range(m):
-        offsets[n + e + 1] = offsets[n + e] + 1
-    targets = [0] * offsets[total]
-    for v in range(n):
-        at = offsets[v]
-        for i in range(csr.succ_off[v], csr.succ_off[v + 1]):
-            targets[at] = n + csr.succ_edge[i]
-            at += 1
-    for e in range(m):
-        targets[offsets[n + e]] = csr.edge_dst[e]
-    return offsets, targets, total
-
-
-def reverse_adjacency(
-    offsets: list[int], targets: list[int], total: int
-) -> tuple[list[int], list[int]]:
-    """Transpose a CSR adjacency, preserving a stable source order."""
-    degree = [0] * total
-    for t in targets:
-        degree[t] += 1
-    roffsets = [0] * (total + 1)
-    for v in range(total):
-        roffsets[v + 1] = roffsets[v] + degree[v]
-    rtargets = [0] * len(targets)
-    cursor = list(roffsets[:-1])
-    for v in range(total):
-        for i in range(offsets[v], offsets[v + 1]):
-            t = targets[i]
-            rtargets[cursor[t]] = v
-            cursor[t] += 1
-    return roffsets, rtargets

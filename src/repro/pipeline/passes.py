@@ -5,10 +5,9 @@
     cfg ─┬─ csr ─┬─ dfs
          │       ├─ dom ──────────┐
          │       ├─ pdom ─┬─ cdg  │
-         │       └─ cycle-equiv ──┴─ sese ─┬─ dfg ─┬─ ssa ── sccp
-         │                                 │       ├─ constprop
-         │                                 │       └─ (copyprop, EPR too)
-         │                                 └─ regions ── region-summaries
+         │       └─ cycle-equiv ──┴─ sese ── dfg ─┬─ ssa ── sccp
+         │                                        ├─ constprop
+         │                                        └─ (copyprop, EPR too)
          ├─ liveness
          ├─ reaching
          ├─ available / pavailable
@@ -132,35 +131,6 @@ def _sese(graph, deps, counter):
         edge_class=deps["cycle-equiv"],
         counter=counter,
     )
-
-
-@_REGISTRY.register(
-    "regions", deps=("cfg", "sese"), uses_exprs=False,
-    description="closure-verified per-region equation systems (PST)",
-)
-def _regions(graph, deps, counter):
-    from repro.regions.systems import build_systems
-
-    return build_systems(graph, deps["sese"], counter)
-
-
-@_REGISTRY.register(
-    "region-summaries", deps=("cfg", "csr", "sese", "regions"),
-    description="hierarchical region-summary solve of the four core "
-                "analyses (decoded per-edge facts)",
-)
-def _region_summaries(graph, deps, counter):
-    from repro.regions.hierarchical import core_problems, solve_hierarchical
-
-    csr = deps["csr"]
-    problems = core_problems(graph, csr)
-    out = {}
-    for name, problem in sorted(problems.items()):
-        masks = solve_hierarchical(csr, deps["regions"], problem, counter)
-        out[name] = {
-            csr.edge_ids[e]: masks[e] for e in range(csr.m)
-        }
-    return out
 
 
 @_REGISTRY.register(

@@ -14,6 +14,25 @@ node masks moved:
 * everything else is a cache hit, and the top-down evaluation skips any
   subtree whose input fact and equations both held still.
 
+Each solve runs three phases over the region systems:
+
+1. **Summarize** (bottom-up, :func:`solve_system_functions`): a region
+   system is solved in the *function domain* -- every computed edge
+   gets a canonical ``(gen, kill)`` pair expressing its fact as a
+   function of the region's input fact, with already-summarized
+   children entering as single super-equations.  The value at the
+   region's own boundary is its summary.
+2. **Root solve** (:func:`solve_system_concrete`): the virtual root
+   system is solved concretely, since its input (the boundary mask) is
+   a known constant.
+3. **Evaluate** (top-down): once a region's input fact is known, every
+   computed edge is one ``apply`` of its cached phase-1 function.
+
+Bitvector frameworks are distributive, so the summarized fixpoint
+applied to the actual boundary equals the flat solver's unique
+fixpoint; the ``hierarchical-vs-flat`` fuzz oracle re-checks that on
+every fuzz trial.
+
 The caches survive shape edits too: a splice/unsplice rebuilds the
 region systems (cheap dict assembly, no fixpoints), and the signature
 check retains every untouched region's summary.
@@ -39,12 +58,21 @@ from typing import TYPE_CHECKING, NamedTuple
 from repro.cfg.graph import CFG, NodeKind
 from repro.dataflow.available import gen_expressions
 from repro.lang.ast_nodes import expr_vars
-from repro.regions.hierarchical import (
-    solve_system_concrete,
-    solve_system_functions,
+from repro.regions.systems import (
+    INPUT,
+    NODE_UNIT,
+    RegionSystems,
+    System,
+    build_systems,
 )
-from repro.regions.systems import RegionSystems, build_systems
-from repro.regions.transfer import apply
+from repro.regions.transfer import (
+    IDENTITY,
+    apply,
+    compose_gk,
+    compose_kg,
+    meet_intersect,
+    meet_union,
+)
 from repro.util.counters import WorkCounter
 
 if TYPE_CHECKING:
@@ -63,6 +91,140 @@ class _Spec(NamedTuple):
     kill_then_gen: bool
     boundary_mask: int
     initial_mask: int
+
+
+def solve_system_functions(
+    system: System,
+    problem: _Spec,
+    node_gen: dict[int, int],
+    node_kill: dict[int, int],
+    summaries: dict[int, tuple[int, int]],
+    boundary_node: int,
+    counter: WorkCounter,
+) -> dict[int, tuple[int, int]]:
+    """Chaotic iteration of one region system in the function domain.
+
+    Returns ``{edge id: (gen, kill)}`` for every edge the system
+    computes, as functions of the system's input fact.  ``summaries``
+    maps already-solved child *system indices* to their boundary
+    functions.  ``boundary_node`` is the problem's root node (start
+    forward / end backward): its meet input is the constant boundary
+    mask wherever it lives, mirroring the flat solver's replacement.
+    """
+    units = (system.fwd_units if problem.direction == "forward"
+             else system.bwd_units)
+    compose = compose_kg if problem.kill_then_gen else compose_gk
+    fmeet = meet_union if problem.meet_is_union else meet_intersect
+    boundary_fn = (problem.boundary_mask, ~problem.boundary_mask)
+    init = (problem.initial_mask, ~problem.initial_mask)
+    empty_fn = (0, ~0)
+
+    values: dict[int, tuple[int, int]] = {}
+    for unit in units:
+        if unit[0] == NODE_UNIT:
+            for out in unit[3]:
+                values[out] = init
+        else:
+            values[unit[3]] = init
+
+    evals = 0
+    changed = True
+    while changed:
+        changed = False
+        for unit in units:
+            evals += 1
+            if unit[0] == NODE_UNIT:
+                _, nid, refs, outs = unit
+                if nid == boundary_node:
+                    combined = boundary_fn
+                elif not refs:
+                    combined = empty_fn
+                else:
+                    ref = refs[0]
+                    combined = IDENTITY if ref == INPUT else values[ref]
+                    for ref in refs[1:]:
+                        other = IDENTITY if ref == INPUT else values[ref]
+                        combined = fmeet(combined, other)
+                out = compose(
+                    combined[0], combined[1], node_gen[nid], node_kill[nid]
+                )
+                for eid in outs:
+                    if values[eid] != out:
+                        values[eid] = out
+                        changed = True
+            else:
+                _, pos, ref, out_edge = unit
+                inval = IDENTITY if ref == INPUT else values[ref]
+                child_summary = summaries[system.children[pos]]
+                out = compose_kg(inval[0], inval[1], *child_summary)
+                if values[out_edge] != out:
+                    values[out_edge] = out
+                    changed = True
+    counter.tick("hier_unit_evals", evals)
+    return values
+
+
+def solve_system_concrete(
+    system: System,
+    problem: _Spec,
+    node_gen: dict[int, int],
+    node_kill: dict[int, int],
+    summaries: dict[int, tuple[int, int]],
+    boundary_node: int,
+    counter: WorkCounter,
+) -> dict[int, int]:
+    """Chaotic iteration of the root system in the concrete domain
+    (its input -- the boundary mask -- is known, so functions would be
+    overhead).  Returns ``{edge id: fact mask}``."""
+    units = (system.fwd_units if problem.direction == "forward"
+             else system.bwd_units)
+    union = problem.meet_is_union
+    kill_then_gen = problem.kill_then_gen
+
+    facts: dict[int, int] = {}
+    for unit in units:
+        if unit[0] == NODE_UNIT:
+            for out in unit[3]:
+                facts[out] = problem.initial_mask
+        else:
+            facts[unit[3]] = problem.initial_mask
+
+    evals = 0
+    changed = True
+    while changed:
+        changed = False
+        for unit in units:
+            evals += 1
+            if unit[0] == NODE_UNIT:
+                _, nid, refs, outs = unit
+                if nid == boundary_node:
+                    combined = problem.boundary_mask
+                elif not refs:
+                    combined = 0
+                else:
+                    combined = facts[refs[0]]
+                    if union:
+                        for ref in refs[1:]:
+                            combined |= facts[ref]
+                    else:
+                        for ref in refs[1:]:
+                            combined &= facts[ref]
+                if kill_then_gen:
+                    out = (combined & ~node_kill[nid]) | node_gen[nid]
+                else:
+                    out = (combined | node_gen[nid]) & ~node_kill[nid]
+                for eid in outs:
+                    if facts[eid] != out:
+                        facts[eid] = out
+                        changed = True
+            else:
+                _, pos, ref, out_edge = unit
+                out = apply(summaries[system.children[pos]], facts[ref])
+                if facts[out_edge] != out:
+                    facts[out_edge] = out
+                    changed = True
+    counter.tick("hier_unit_evals", evals)
+    return facts
 
 
 class _CachedSummaries(dict):
@@ -410,7 +572,7 @@ class RegionDataflow:
                 ):
                     continue  # children re-summarized to equal functions
                 values = solve_system_functions(
-                    system, systems, spec, node_gen, node_kill,
+                    system, spec, node_gen, node_kill,
                     summaries, boundary_node, self.counter,
                 )
                 summary = values[system.exit if forward else system.entry]
@@ -423,7 +585,7 @@ class RegionDataflow:
                 summaries[index] = summary
             if 0 in dirty_systems or any(c in changed for c in root.children):
                 root_facts = solve_system_concrete(
-                    root, systems, spec, node_gen, node_kill,
+                    root, spec, node_gen, node_kill,
                     summaries, boundary_node, self.counter,
                 )
                 stale = self._stale[name]
@@ -458,7 +620,7 @@ class RegionDataflow:
                 )
                 if needs:
                     values = solve_system_functions(
-                        system, systems, spec, node_gen, node_kill,
+                        system, spec, node_gen, node_kill,
                         summaries, boundary_node, self.counter,
                     )
                     summary = values[
@@ -484,7 +646,7 @@ class RegionDataflow:
             )
             if root_needs:
                 root_facts = solve_system_concrete(
-                    root, systems, spec, node_gen, node_kill,
+                    root, spec, node_gen, node_kill,
                     summaries, boundary_node, self.counter,
                 )
                 facts.update(root_facts)

@@ -15,10 +15,9 @@ pass with no registered oracle escalates to
 The oracle table (:func:`default_oracles`) covers exactly the passes
 whose fast path has a reference twin: ``dfs``, ``dom``, ``pdom``,
 ``cycle-equiv``, ``sese`` (rebuilt from the reference substrates),
-``liveness``, ``reaching``, ``available``, ``pavailable``,
-``region-summaries``, ``defuse`` (the sparse-engine projection
-degrades onto the dense reaching-definitions construction), and the
-sparse clients
+``liveness``, ``reaching``, ``available``, ``pavailable``, ``defuse``
+(the sparse-engine projection degrades onto the dense
+reaching-definitions construction), and the sparse clients
 ``sparse-range``, ``sparse-taint`` and ``ntscd`` (dense / brute-force
 reference twins).
 :func:`results_equal` knows how to compare each pass's result shape --
@@ -118,23 +117,6 @@ def _oracle_pavailable(graph, deps, counter):
     return partially_available_expressions_reference(graph, counter)
 
 
-def _oracle_region_summaries(graph, deps, counter):
-    """Flat-bitset twin of the hierarchical region-summary solve: the
-    same four problems over the same CSR, solved by the plain fixpoint
-    (no region tree involved)."""
-    from repro.perf.bitset import solve_bitset
-    from repro.perf.csr import build_csr
-    from repro.regions.hierarchical import core_problems
-
-    csr = build_csr(graph)
-    problems = core_problems(graph, csr)
-    out = {}
-    for name, problem in sorted(problems.items()):
-        masks = solve_bitset(csr, problem)
-        out[name] = {csr.edge_ids[e]: masks[e] for e in range(csr.m)}
-    return out
-
-
 def _oracle_defuse(graph, deps, counter):
     from repro.defuse.chains import build_def_use_chains_reference
 
@@ -169,7 +151,6 @@ _ORACLES: dict[str, OracleFn] = {
     "reaching": _oracle_reaching,
     "available": _oracle_available,
     "pavailable": _oracle_pavailable,
-    "region-summaries": _oracle_region_summaries,
     "defuse": _oracle_defuse,
     "sparse-range": _oracle_sparse_range,
     "sparse-taint": _oracle_sparse_taint,
@@ -229,22 +210,6 @@ def _facts_eq(a, b) -> bool:
     return a.facts() == b.facts()
 
 
-def _regions_eq(a, b) -> bool:
-    """Two region-system assemblies are the same answer when every
-    system has the same boundary, ownership, hierarchy and units."""
-    if len(a.systems) != len(b.systems):
-        return False
-    return all(
-        sa.key == sb.key
-        and sa.parent == sb.parent
-        and sa.nodes == sb.nodes
-        and sa.children == sb.children
-        and sa.fwd_units == sb.fwd_units
-        and sa.bwd_units == sb.bwd_units
-        for sa, sb in zip(a.systems, b.systems)
-    )
-
-
 #: Pass name -> comparator for result shapes without value equality.
 _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "dom": _tree_eq,
@@ -252,7 +217,6 @@ _COMPARATORS: dict[str, Callable[[object, object], bool]] = {
     "sese": _sese_eq,
     "csr": _csr_eq,
     "defuse": _chains_eq,
-    "regions": _regions_eq,
     "sparse-range": _facts_eq,
     "sparse-taint": _facts_eq,
     "ntscd": _facts_eq,

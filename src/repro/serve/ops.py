@@ -48,10 +48,6 @@ OP_PASSES: dict[str, tuple[str, ...]] = {
 LINT_BLOB = "op:lint"
 SARIF_BLOB = "op:sarif"
 
-#: Default step budget per lint oracle refutation probe (the ``repro
-#: lint`` CLI default).
-DEFAULT_MAX_STEPS = 20_000
-
 
 def analyze_payload(graph: "CFG", manager: AnalysisManager) -> dict:
     """The ``analyze`` answer: structure, dependence and constant
@@ -100,11 +96,11 @@ def constprop_payload(graph: "CFG", manager: AnalysisManager) -> dict:
     }
 
 
-def lint_document(
-    graph: "CFG", max_steps: int = DEFAULT_MAX_STEPS
-) -> tuple[dict, int]:
+def lint_document(graph: "CFG") -> tuple[dict, int]:
     """The canonical (label-free) ``repro.lint/1`` document plus the
-    oracle-failure count.
+    oracle-failure count, verified under the oracle's default probe
+    budget (:data:`repro.lint.oracle.DEFAULT_PROBE_STEPS`, the ``repro
+    lint`` CLI default).
 
     ``file`` is left empty so the document is a pure function of the
     source -- the daemon caches it under ``op:lint`` and each response
@@ -113,29 +109,11 @@ def lint_document(
     from repro.lint.engine import LintEngine
     from repro.lint.output import lint_payload
 
-    result = LintEngine(graph).run(verify=True, max_steps=max_steps)
+    result = LintEngine(graph).run(verify=True)
     return lint_payload("", result, 0), len(result.oracle_failures)
 
 
-def sarif_document(
-    label: str, graph: "CFG", max_steps: int = DEFAULT_MAX_STEPS
-) -> dict:
-    """The SARIF 2.1.0 answer for one document of a ``batch-sarif``
-    request (labels are baked into SARIF locations, so the cache key
-    covers label *and* source -- see the server's ``_doc_sha``)."""
-    from repro.lint.engine import LintEngine
-    from repro.lint.output import sarif_payload
-
-    result = LintEngine(graph).run(verify=True, max_steps=max_steps)
-    return sarif_payload(label, result.diagnostics)
-
-
-def run_op(
-    op: str,
-    source: str,
-    label: str = "",
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> dict:
+def run_op(op: str, source: str, label: str = "") -> dict:
     """The one-shot answer for a source op -- the daemon's byte-equality
     oracle.  Raises :class:`~repro.robust.errors.InputError` on an
     unknown op; parse errors propagate as
@@ -149,7 +127,7 @@ def run_op(
         )
     graph = build_cfg(parse_program(source))
     if op == "lint":
-        document, failures = lint_document(graph, max_steps=max_steps)
+        document, failures = lint_document(graph)
         if failures:
             from repro.robust.errors import AnalysisError
 

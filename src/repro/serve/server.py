@@ -58,11 +58,15 @@ from repro.cfg.builder import build_cfg
 from repro.lang.errors import LangError
 from repro.lang.parser import parse_expr, parse_program
 from repro.pipeline.manager import AnalysisManager
-from repro.robust.errors import InputError, ReproError
+from repro.robust.errors import (
+    AnalysisError,
+    InputError,
+    ReproError,
+    error_record,
+)
 from repro.robust.incidents import IncidentLog
 from repro.serve.cache import ResultCache, source_sha
 from repro.serve.ops import (
-    DEFAULT_MAX_STEPS,
     LINT_BLOB,
     OP_PASSES,
     OPS,
@@ -129,7 +133,6 @@ class RequestBroker:
         pool_workers: int = 0,
         pool_timeout_s: float | None = 30.0,
         pool_retries: int = 1,
-        max_steps: int = DEFAULT_MAX_STEPS,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         debug_ops: bool = False,
@@ -140,7 +143,6 @@ class RequestBroker:
         self.pool_workers = pool_workers
         self.pool_timeout_s = pool_timeout_s
         self.pool_retries = pool_retries
-        self.max_steps = max_steps
         self.debug_ops = debug_ops
         self._clock = clock
         self._sleep = sleep
@@ -302,15 +304,11 @@ class RequestBroker:
             document = json.loads(blob.decode("utf-8"))
             state = "disk"
         else:
-            document, failures = lint_document(
-                entry.graph, max_steps=self.max_steps
-            )
+            document, failures = lint_document(entry.graph)
             if failures:
                 # Do not cache or memoize: the zero-false-positive
                 # guarantee was not measured, which is the one-shot
                 # CLI's exit-2 condition.
-                from repro.robust.errors import AnalysisError
-
                 raise AnalysisError(
                     f"{failures} lint oracle check(s) raised",
                     phase="lint-verify",
@@ -406,6 +404,20 @@ class RequestBroker:
                     "label": label,
                     "error": row["error"],
                     "quarantined": bool(row.get("quarantined")),
+                }
+                continue
+            failures = row["lint"]["oracle_failures"]
+            if failures:
+                # The one-shot ``repro lint`` exits 2 here: the findings'
+                # zero-false-positive guarantee was not measured, so the
+                # document is neither served as ok nor cached.
+                answers[i] = {
+                    "label": label,
+                    "error": error_record(AnalysisError(
+                        f"{failures} lint oracle check(s) raised",
+                        phase="lint-verify",
+                    )),
+                    "quarantined": False,
                 }
                 continue
             sarif = row["sarif"]
@@ -613,7 +625,6 @@ class ReproServer:
         warm: int = 32,
         pool_workers: int = 0,
         pool_timeout_s: float | None = 30.0,
-        max_steps: int = DEFAULT_MAX_STEPS,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
         debug_ops: bool = False,
@@ -625,7 +636,6 @@ class ReproServer:
             warm=warm,
             pool_workers=pool_workers,
             pool_timeout_s=pool_timeout_s,
-            max_steps=max_steps,
             clock=clock,
             sleep=sleep,
             debug_ops=debug_ops,

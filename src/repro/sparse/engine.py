@@ -409,11 +409,6 @@ def solve(
     return values
 
 
-def value_at_use(form: SparseForm, values: dict, nid: int, var: str):
-    """The solved value the use site ``(nid, var)`` observes."""
-    return values[form.use_names[(nid, var)]]
-
-
 # ---------------------------------------------------------------------------
 # Def-use chains as a projection of the no-split form.
 

@@ -50,6 +50,32 @@ def test_analyze_reports_structure(sample, capsys):
     assert "dependence edges" in out
 
 
+def test_analyze_verbose_text_is_pinned(tmp_path, capsys):
+    # The exact report, byte for byte: the text is printed from the same
+    # answer the daemon's ``analyze`` op serves.
+    path = tmp_path / "pinned.dfg"
+    path.write_text(
+        "k := 3;\nn := k + 2;\ni := 0;\n"
+        "while (i < n) { i := i + k; }\n"
+        "if (k > 5) { print 0; } else { print n * 2; }\n"
+        "print i;\n"
+    )
+    assert main(["analyze", str(path), "-v"]) == 0
+    assert capsys.readouterr().out == (
+        "CFG: 13 nodes, 14 edges, 3 variables\n"
+        "control structure: 5 cycle-equivalence classes, 9 canonical "
+        "SESE regions (max nesting 2)\n"
+        "DFG: 25 dependence edges (18 data), 6 multiedges\n"
+        "constants: 5 uses are compile-time constants\n"
+        "  node 3: k = 3\n"
+        "  node 5: n = 5\n"
+        "  node 6: k = 3\n"
+        "  node 7: k = 3\n"
+        "  node 9: n = 5\n"
+        "dead code: statements [8] can never execute\n"
+    )
+
+
 def test_analyze_writes_dot(sample, tmp_path, capsys):
     dot = str(tmp_path / "g.dot")
     assert main(["analyze", sample, "--dot", dot]) == 0

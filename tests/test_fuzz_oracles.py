@@ -15,6 +15,7 @@ from repro.fuzz.oracles import (
     oracle_constprop,
     oracle_dataflow,
     oracle_determinism,
+    oracle_hierarchical_vs_flat,
     oracle_io,
     oracle_structure,
     run_oracles,
@@ -107,6 +108,31 @@ def test_sparse_vs_dense_oracle_checks_every_client():
     assert verdict.ok
     # chains, ssa, pruned ssa, range, taint, ntscd -- one check each.
     assert verdict.checks == 6
+
+
+def test_hierarchical_oracle_checks_the_edit_engine(monkeypatch):
+    # The oracle must judge the engine ``edit`` ships: one corrupted
+    # decoded edge in RegionDataflow is a failing verdict.
+    from repro.regions.incremental import RegionDataflow
+
+    graph_a, graph_b, context = _pair(CLEAN, CLEAN)
+    verdict = oracle_hierarchical_vs_flat(graph_a, graph_b, context)
+    assert verdict.ok and verdict.checks == 4
+
+    decode = RegionDataflow.decode
+
+    def corrupt(self, name):
+        facts = decode(self, name)
+        if name == "liveness":
+            eid = min(facts)
+            facts = {**facts, eid: facts[eid] | {"bogus"}}
+        return facts
+
+    monkeypatch.setattr(RegionDataflow, "decode", corrupt)
+    verdict = oracle_hierarchical_vs_flat(graph_a, graph_b, context)
+    assert not verdict.ok
+    assert verdict.detail.startswith("liveness:")
+    assert f"[{min(graph_b.edges)}]" in verdict.detail
 
 
 def test_determinism_oracle_and_digest_stability():

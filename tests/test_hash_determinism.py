@@ -183,10 +183,10 @@ def test_generators_and_mutators_identical_across_hash_seeds() -> None:
 
 # -- region summaries and the edit-replay workload ----------------------------
 #
-# The PR-6 surfaces: hierarchical region-summary solves (per-edge fact
-# masks over the shared bit universes) and the ``repro.bench/1`` edit-replay
-# payload must not depend on set iteration order anywhere in the SESE
-# update, the system assembly, or the solver.  Timing fields are zeroed;
+# The PR-6 surfaces: region-summary solves of the edit engine (per-edge
+# fact masks over its sticky bit universes) and the ``repro.bench/1``
+# edit-replay payload must not depend on set iteration order anywhere in
+# the SESE update, the system assembly, or the solver.  Timing fields are zeroed;
 # everything else -- summary values, work counters, edit counts -- must
 # be byte-identical across hash seeds.
 
@@ -194,21 +194,14 @@ _REGION_SCRIPT = """\
 import json
 from repro.cfg.builder import build_cfg
 from repro.perf.batch import resolve_family
-from repro.perf.csr import build_csr
-from repro.regions.hierarchical import (
-    build_region_systems,
-    core_problems,
-    solve_hierarchical,
-)
+from repro.regions.incremental import ANALYSES, RegionDataflow
 from repro.regions.replay import build_replay_graph, edit_script, replay_row
 from repro.regions.edits import EditSession
 
 for family, args in (("diamond", [24]), ("loopnest", [4]), ("jump", [6])):
-    graph = build_cfg(resolve_family(family)(*args))
-    csr = build_csr(graph)
-    regions = build_region_systems(graph)
-    for name, problem in sorted(core_problems(graph, csr).items()):
-        print(name, solve_hierarchical(csr, regions, problem))
+    engine = RegionDataflow(build_cfg(resolve_family(family)(*args)))
+    for name in ANALYSES:
+        print(name, engine.solve_masks(name))
 
 row = replay_row(24, repeat=1)
 for key in ("legacy_ms", "fast_ms", "speedup"):

@@ -204,3 +204,56 @@ def test_cli_reports_oracle_failures_as_analysis_error(monkeypatch, tmp_path, ca
     err = capsys.readouterr().err
     assert "repro: analysis error:" in err
     assert "RuntimeError" in err and "synthetic checker crash" in err
+
+
+def _crash_r003(monkeypatch):
+    import repro.lint.oracle as oracle_mod
+
+    def boom(oracle, diag):
+        raise RuntimeError("synthetic checker crash")
+
+    monkeypatch.setitem(oracle_mod._CHECKERS, "R003", boom)
+
+
+def test_batch_lint_exits_nonzero_on_oracle_failures(monkeypatch, tmp_path):
+    import json
+
+    from repro.cli import main
+
+    _crash_r003(monkeypatch)
+    out = tmp_path / "lint.json"
+    # In-process (no workers), so the patched checker is the one that runs.
+    code = main([
+        "batch", "--suite", "lint", "--smoke", "--workers", "0",
+        "--output", str(out),
+    ])
+    assert code == 1
+    batch = json.loads(out.read_text())["batch"]
+    assert batch["lint"]["oracle_failures"] > 0
+    assert batch["lint"]["oracle_failures"] == sum(
+        row["lint"]["oracle_failures"] for row in batch["rows"]
+    )
+
+
+def test_batch_sarif_answers_oracle_failures_as_errors(monkeypatch, tmp_path):
+    import json
+
+    from repro.serve.cache import ResultCache
+    from repro.serve.ops import SARIF_BLOB
+    from repro.serve.server import RequestBroker
+
+    _crash_r003(monkeypatch)
+    cache = ResultCache(str(tmp_path / "cache"))
+    broker = RequestBroker(cache, pool_workers=0)
+    source = "x := 1;\nx := 2;\nprint x;\n"
+    line = json.dumps({
+        "op": "batch-sarif", "docs": [{"label": "p.dfg", "source": source}],
+    }).encode()
+    for _ in range(2):  # the second request must not find a cached blob
+        response = broker.handle_line(line)
+        assert response["ok"]
+        (doc,) = response["result"]["documents"]
+        assert "sarif" not in doc
+        assert doc["error"]["kind"] == "analysis"
+        assert "oracle" in doc["error"]["message"]
+    assert cache.load(broker._doc_sha("p.dfg", source), SARIF_BLOB) is None

@@ -36,13 +36,13 @@ print z;
 #: Shape-only passes: survive expression rewrites.
 SHAPE_PASSES = (
     "cfg", "csr", "dfs", "dom", "pdom", "cycle-equiv", "sese", "cdg",
-    "regions", "ntscd",
+    "ntscd",
 )
 #: Expression-reading passes: recompute after any rewrite.
 EXPR_PASSES = (
     "dfg", "defuse", "liveness", "reaching", "available", "pavailable",
     "ssa", "constprop", "constprop-cfg", "constprop-defuse", "sccp",
-    "region-summaries", "sparse-range", "sparse-taint",
+    "sparse-range", "sparse-taint",
 )
 
 

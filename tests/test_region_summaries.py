@@ -1,5 +1,6 @@
-"""The PR-6 tentpole contract: hierarchical region-summary solving is
-*byte-identical* to the flat bitset solver and to the generic-solver
+"""The PR-6 tentpole contract: hierarchical region-summary solving -- the
+:class:`~repro.regions.edits.EditSession` engine the ``edit`` op ships --
+is *byte-identical* to the flat bitset solvers and to the generic-solver
 ``*_reference`` oracles on the four core analyses.
 
 Bitvector frameworks are distributive, so summarizing a region as a
@@ -25,14 +26,8 @@ from repro.dataflow.anticipatable import anticipatable_expressions_reference
 from repro.dataflow.available import available_expressions_reference
 from repro.dataflow.liveness import live_variables_reference
 from repro.dataflow.reaching import reaching_definitions_reference
-from repro.perf.bitset import solve_bitset
-from repro.perf.csr import build_csr
 from repro.regions.edits import EditSession
-from repro.regions.hierarchical import (
-    build_region_systems,
-    core_problems,
-    solve_hierarchical,
-)
+from repro.regions.replay import _flat_all
 from repro.workloads.generators import (
     irreducible_program,
     random_jump_program,
@@ -85,27 +80,13 @@ def _graphs(chunk):
         yield name, build_cfg(make())
 
 
-def _assert_hierarchical_matches_flat(graph, name: str) -> None:
-    csr = build_csr(graph)
-    regions = build_region_systems(graph)
-    if not name.startswith("jump"):
-        assert regions.dissolved == 0, name
-    for analysis, problem in core_problems(graph, csr).items():
-        flat = solve_bitset(csr, problem)
-        hier = solve_hierarchical(csr, regions, problem)
-        assert flat == hier, (name, analysis)
-
-
-@pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
-def test_hierarchical_masks_match_flat_solver(chunk) -> None:
-    for name, graph in _graphs(chunk):
-        _assert_hierarchical_matches_flat(graph, name)
-
-
 @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS)
 def test_decoded_facts_match_reference_oracles(chunk) -> None:
     for name, graph in _graphs(chunk):
-        facts = EditSession(graph).solve_all()
+        session = EditSession(graph)
+        if not name.startswith("jump"):
+            assert session.engine.systems.dissolved == 0, name
+        facts = session.solve_all()
         for analysis, reference in REFERENCES.items():
             assert facts[analysis] == reference(graph), (name, analysis)
 
@@ -119,4 +100,7 @@ def test_hierarchical_matches_flat_on_arbitrary_programs(program) -> None:
     # ``programs()`` may generate infinite loops and other graphs no
     # execution-based check could cover; the solve is static, so the
     # equivalence must hold regardless.
-    _assert_hierarchical_matches_flat(build_cfg(program), "hypothesis")
+    graph = build_cfg(program)
+    session = EditSession(graph)
+    assert session.engine.systems.dissolved == 0
+    assert session.solve_all() == _flat_all(graph)

@@ -182,7 +182,7 @@ def test_default_oracles_cover_reference_twins() -> None:
     assert names == {
         "dfs", "dom", "pdom", "cycle-equiv", "sese",
         "liveness", "reaching", "available", "pavailable",
-        "region-summaries", "defuse", "sparse-range", "sparse-taint", "ntscd",
+        "defuse", "sparse-range", "sparse-taint", "ntscd",
     }
     registered = set(default_registry().names())
     assert names <= registered
